@@ -126,7 +126,7 @@ func main() {
 	if !*paired {
 		check(fmt.Errorf("nothing to do: pass -top K, or -id1/-id2, or leave -paired=true"))
 	}
-	res, err := eval.MatchingContext(ctx, d1, d2, scorer, 0)
+	res, err := eval.Matching(ctx, d1, d2, scorer, 0)
 	check(err)
 	fmt.Printf("method=%s  n=%d  precision=%.4f  mean_rank=%.4f  elapsed=%s\n",
 		scorer.Name(), len(d1), res.Precision, res.MeanRank, res.Elapsed)

@@ -227,21 +227,21 @@ func engineShardOptions(scorer Scorer, opts EngineOptions, shard int) (engine.Op
 // the engine executor and aborts promptly when ctx is cancelled or its
 // deadline passes.
 func MatchContext(ctx context.Context, d1, d2 Dataset, s Scorer, workers int) (MatchResult, error) {
-	return eval.MatchingContext(ctx, d1, d2, s, workers)
+	return eval.Matching(ctx, d1, d2, s, workers)
 }
 
 // LinkDatasetsContext is LinkDatasets with cancellation.
 func LinkDatasetsContext(ctx context.Context, d1, d2 Dataset, scorer Scorer, opts LinkOptions) ([]Link, error) {
-	return linking.GreedyLinkContext(ctx, d1, d2, scorer, opts)
+	return linking.GreedyLink(ctx, eval.Transient{Scorer: scorer, Workers: opts.Workers}, d1, d2, opts)
 }
 
 // LinkDatasetsOptimalContext is LinkDatasetsOptimal with cancellation.
 func LinkDatasetsOptimalContext(ctx context.Context, d1, d2 Dataset, scorer Scorer, opts LinkOptions) ([]Link, error) {
-	return linking.OptimalLinkContext(ctx, d1, d2, scorer, opts)
+	return linking.OptimalLink(ctx, eval.Transient{Scorer: scorer, Workers: opts.Workers}, d1, d2, opts)
 }
 
 // ScoreMatrixContext scores rows × cols with cancellation; see
-// eval.ScoreMatrixContext for the masked/unmasked semantics.
+// eval.ScoreMatrix.
 func ScoreMatrixContext(ctx context.Context, rows, cols Dataset, s Scorer, workers int) ([][]float64, error) {
-	return eval.ScoreMatrixContext(ctx, rows, cols, s, workers)
+	return eval.ScoreMatrix(ctx, rows, cols, s, eval.MatrixOptions{Workers: workers})
 }

@@ -1,6 +1,7 @@
 package sts_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -55,7 +56,7 @@ func BenchmarkIndexTopK(b *testing.B) {
 	})
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.ScoreMatrix(model.Dataset{query}, taxi.D2, cheapScorer, 1); err != nil {
+			if _, err := eval.ScoreMatrix(context.Background(), model.Dataset{query}, taxi.D2, cheapScorer, eval.MatrixOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -70,7 +71,7 @@ func BenchmarkLinking(b *testing.B) {
 	opts := linking.Options{MinScore: 1e-9, Workers: 1}
 	for _, tc := range []struct {
 		name string
-		f    func(d1, d2 model.Dataset, s eval.Scorer, o linking.Options) ([]linking.Link, error)
+		f    func(ctx context.Context, b linking.Batcher, d1, d2 model.Dataset, o linking.Options) ([]linking.Link, error)
 	}{
 		{"greedy", linking.GreedyLink},
 		{"optimal", linking.OptimalLink},
@@ -78,7 +79,7 @@ func BenchmarkLinking(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var precision float64
 			for i := 0; i < b.N; i++ {
-				links, err := tc.f(taxi.D1, taxi.D2, scorer, opts)
+				links, err := tc.f(context.Background(), eval.Transient{Scorer: scorer, Workers: opts.Workers}, taxi.D1, taxi.D2, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -338,7 +338,7 @@ func (s *Sharded) TopKOpts(ctx context.Context, query model.Trajectory, opts Top
 	if math.IsNaN(minScore) {
 		minScore = math.Inf(-1)
 	}
-	h := newMatchHeap(k, worseMergedMatch)
+	h := newMatchHeap(k, s.Len(), worseMergedMatch)
 	parts := make([][]Match, s.fanOut)
 	for start := 0; start < len(s.shards); start += s.fanOut {
 		end := start + s.fanOut
@@ -370,18 +370,16 @@ func (s *Sharded) TopKOpts(ctx context.Context, query model.Trajectory, opts Top
 	return h.sorted(), nil
 }
 
-// ScoreBatch fans contiguous row blocks across shards, each block scored
-// by one shard engine with its own caches and workers; cell values are
-// bit-identical to a single engine's ScoreBatch (same kernels, same
-// snapshot-free transient data).
+// ScoreBatch is ScoreBatchMin with no floor.
 func (s *Sharded) ScoreBatch(ctx context.Context, rows, cols model.Dataset, mask [][]bool) ([][]float64, error) {
-	return s.fanRows(ctx, rows, func(eng *Engine, lo, hi int) ([][]float64, error) {
-		return eng.ScoreBatch(ctx, rows[lo:hi], cols, sliceMask(mask, lo, hi))
-	})
+	return s.ScoreBatchMin(ctx, rows, cols, mask, math.Inf(-1))
 }
 
-// ScoreBatchMin is ScoreBatch with a score floor, fanned out the same way;
-// every shard filter-and-refines its block against minScore.
+// ScoreBatchMin fans contiguous row blocks across shards, each block
+// scored — and filter-and-refined against minScore — by one shard engine
+// with its own caches and workers; cell values are bit-identical to a
+// single engine's ScoreBatchMin (same kernels, same snapshot-free
+// transient data).
 func (s *Sharded) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error) {
 	return s.fanRows(ctx, rows, func(eng *Engine, lo, hi int) ([][]float64, error) {
 		return eng.ScoreBatchMin(ctx, rows[lo:hi], cols, sliceMask(mask, lo, hi), minScore)

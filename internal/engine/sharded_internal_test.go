@@ -30,7 +30,7 @@ func TestMatchHeapMergeOrderInvariance(t *testing.T) {
 			rand.New(rand.NewSource(seed)).Shuffle(len(perm), func(i, j int) {
 				perm[i], perm[j] = perm[j], perm[i]
 			})
-			h := newMatchHeap(k, worseMergedMatch)
+			h := newMatchHeap(k, len(perm), worseMergedMatch)
 			for _, m := range perm {
 				h.offer(m)
 			}

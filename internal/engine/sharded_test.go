@@ -233,9 +233,9 @@ func TestShardedScoreBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedLinkingEquivalence drives the greedy batch linker through
-// both implementations — *Sharded satisfies linking.Batcher/MinBatcher
-// exactly like *Engine does.
+// TestShardedLinkingEquivalence drives the greedy linker through both
+// implementations — *Sharded satisfies linking.Batcher exactly like
+// *Engine does.
 func TestShardedLinkingEquivalence(t *testing.T) {
 	single, sharded := newShardedPair(t, 3, func() engine.Options { return engine.Options{} })
 	ctx := context.Background()
@@ -247,11 +247,11 @@ func TestShardedLinkingEquivalence(t *testing.T) {
 	}
 	opts := linking.Options{MinScore: 0.01}
 
-	want, err := linking.GreedyLinkBatch(ctx, single, d1, d2, opts)
+	want, err := linking.GreedyLink(ctx, single, d1, d2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := linking.GreedyLinkBatch(ctx, sharded, d1, d2, opts)
+	got, err := linking.GreedyLink(ctx, sharded, d1, d2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,6 +119,11 @@ func (e *Engine) TopKOpts(ctx context.Context, query model.Trajectory, opts TopK
 	if len(cands) == 0 {
 		return nil, nil
 	}
+	// No answer holds more than every candidate, so a larger k (up to
+	// MaxInt from a hostile request) only sizes allocations.
+	if k > len(cands) {
+		k = len(cands)
+	}
 	// With every candidate in the result anyway, bounds cannot save work.
 	trivial := len(cands) <= k && math.IsInf(minScore, -1)
 	if opts.Exhaustive || trivial || !e.canPrune() {
@@ -370,12 +375,13 @@ type topKHeap struct {
 }
 
 func newTopKHeap(k int) *topKHeap {
-	return &topKHeap{k: k, worse: worseMatch, m: make([]Match, 0, k)}
+	return newMatchHeap(k, k, worseMatch)
 }
 
-// newMatchHeap is newTopKHeap with an explicit comparator.
-func newMatchHeap(k int, worse func(a, b Match) bool) *topKHeap {
-	return &topKHeap{k: k, worse: worse, m: make([]Match, 0, k)}
+// newMatchHeap is newTopKHeap with an explicit comparator and with its
+// preallocation capped at n, the most matches that can be offered.
+func newMatchHeap(k, n int, worse func(a, b Match) bool) *topKHeap {
+	return &topKHeap{k: k, worse: worse, m: make([]Match, 0, min(k, n))}
 }
 
 func (h *topKHeap) full() bool { return len(h.m) == h.k }

@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/model"
 )
@@ -49,7 +51,7 @@ func TestMatchingPerfectScorer(t *testing.T) {
 		d1 = append(d1, tagged("a", float64(i*10)))
 		d2 = append(d2, tagged("b", float64(i*10)+0.1))
 	}
-	res, err := Matching(d1, d2, tagCloseness, 1)
+	res, err := Matching(context.Background(), d1, d2, tagCloseness, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestMatchingAdversarialScorer(t *testing.T) {
 		d1 = append(d1, tagged("a", float64(i)))
 		d2 = append(d2, tagged("b", float64(i)))
 	}
-	res, err := Matching(d1, d2, worst, 1)
+	res, err := Matching(context.Background(), d1, d2, worst, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +87,16 @@ func TestMatchingAdversarialScorer(t *testing.T) {
 
 func TestMatchingErrors(t *testing.T) {
 	d := model.Dataset{tagged("a", 1)}
-	if _, err := Matching(d, model.Dataset{}, tagCloseness, 1); !errors.Is(err, ErrSizeMismatch) {
+	if _, err := Matching(context.Background(), d, model.Dataset{}, tagCloseness, 1); !errors.Is(err, ErrSizeMismatch) {
 		t.Errorf("size mismatch: %v", err)
 	}
-	if _, err := Matching(model.Dataset{}, model.Dataset{}, tagCloseness, 1); err == nil {
+	if _, err := Matching(context.Background(), model.Dataset{}, model.Dataset{}, tagCloseness, 1); err == nil {
 		t.Error("empty datasets accepted")
 	}
 	failing := FuncScorer{N: "fail", F: func(a, b model.Trajectory) (float64, error) {
 		return 0, errors.New("boom")
 	}}
-	if _, err := Matching(d, d, failing, 1); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := Matching(context.Background(), d, d, failing, 1); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("scorer error not propagated: %v", err)
 	}
 }
@@ -105,11 +107,11 @@ func TestScoreMatrixParallelMatchesSerial(t *testing.T) {
 		rows = append(rows, tagged("r", float64(i)))
 		cols = append(cols, tagged("c", float64(i*2)))
 	}
-	serial, err := ScoreMatrix(rows, cols, tagCloseness, 1)
+	serial, err := ScoreMatrix(context.Background(), rows, cols, tagCloseness, MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScoreMatrix(rows, cols, tagCloseness, 4)
+	parallel, err := ScoreMatrix(context.Background(), rows, cols, tagCloseness, MatrixOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestScoreMatrixSanitizesNaN(t *testing.T) {
 	nanScorer := FuncScorer{N: "nan", F: func(a, b model.Trajectory) (float64, error) {
 		return math.NaN(), nil
 	}}
-	m, err := ScoreMatrix(model.Dataset{tagged("a", 1)}, model.Dataset{tagged("b", 2)}, nanScorer, 1)
+	m, err := ScoreMatrix(context.Background(), model.Dataset{tagged("a", 1)}, model.Dataset{tagged("b", 2)}, nanScorer, MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,5 +314,57 @@ func TestBootstrapCI(t *testing.T) {
 	lo, hi, err = BootstrapCI(c, 100, 0.9, rng)
 	if err != nil || lo != 3 || hi != 3 {
 		t.Errorf("constant CI [%v, %v], err %v", lo, hi, err)
+	}
+}
+
+// stsWalk builds a small trajectory with enough motion for a
+// personalized speed model.
+func stsWalk(id string, y float64) model.Trajectory {
+	tr := model.Trajectory{ID: id}
+	for k := 0; k < 6; k++ {
+		tr.Samples = append(tr.Samples, model.Sample{
+			Loc: geo.Point{X: float64(k) * 12, Y: y + 0.5*float64(k%3)},
+			T:   float64(k) * 10,
+		})
+	}
+	return tr
+}
+
+// TestSTSScorerParallelMatrixDeterministic scores the same matrix with one
+// and with eight workers through one shared scorer: with -race this hammers
+// the pooled zero-allocation scratch, and the comparison pins bit-for-bit
+// determinism of the fast path under concurrency.
+func TestSTSScorerParallelMatrixDeterministic(t *testing.T) {
+	grid, err := geo.NewGrid(geo.Rect{Min: geo.Point{X: -10, Y: -10}, Max: geo.Point{X: 120, Y: 120}}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewSTS(grid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSTSScorer("STS", m)
+	var rows, cols model.Dataset
+	for k := 0; k < 6; k++ {
+		rows = append(rows, stsWalk("r", float64(k*15)))
+		cols = append(cols, stsWalk("c", float64(k*15)+1))
+	}
+	serial, err := ScoreMatrix(context.Background(), rows, cols, s, MatrixOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 3; trial++ {
+		parallel, err := ScoreMatrix(context.Background(), rows, cols, s, MatrixOptions{Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			for j := range serial[i] {
+				if serial[i][j] != parallel[i][j] {
+					t.Fatalf("trial %d: [%d][%d] serial %v != parallel %v",
+						trial, i, j, serial[i][j], parallel[i][j])
+				}
+			}
+		}
 	}
 }

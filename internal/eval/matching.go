@@ -34,15 +34,10 @@ var ErrSizeMismatch = errors.New("eval: paired datasets must be the same length"
 // Matching runs the trajectory-matching experiment: d1[i] and d2[i] are
 // trajectories of the same object (e.g. the two halves of an alternating
 // split); every trajectory of d1 is scored against every trajectory of
-// d2, and the rank of the true twin is recorded.
-func Matching(d1, d2 model.Dataset, s Scorer, workers int) (MatchResult, error) {
-	return MatchingContext(context.Background(), d1, d2, s, workers)
-}
-
-// MatchingContext is Matching with cancellation: the full-matrix scoring
+// d2, and the rank of the true twin is recorded. The full-matrix scoring
 // runs on the engine executor and aborts promptly when ctx is cancelled or
 // its deadline passes.
-func MatchingContext(ctx context.Context, d1, d2 model.Dataset, s Scorer, workers int) (MatchResult, error) {
+func Matching(ctx context.Context, d1, d2 model.Dataset, s Scorer, workers int) (MatchResult, error) {
 	if len(d1) != len(d2) {
 		return MatchResult{}, ErrSizeMismatch
 	}
@@ -50,7 +45,7 @@ func MatchingContext(ctx context.Context, d1, d2 model.Dataset, s Scorer, worker
 		return MatchResult{}, errors.New("eval: empty datasets")
 	}
 	start := time.Now()
-	scores, err := ScoreMatrixContext(ctx, d1, d2, s, workers)
+	scores, err := ScoreMatrix(ctx, d1, d2, s, MatrixOptions{Workers: workers})
 	if err != nil {
 		return MatchResult{}, err
 	}

@@ -8,114 +8,53 @@ import (
 	"github.com/stslib/sts/internal/model"
 )
 
-// MatrixScorer is an optional Scorer extension for measures that can score
-// a whole dataset-against-dataset matrix more efficiently than pair by
-// pair (e.g. STS, which prepares per-trajectory state once).
-type MatrixScorer interface {
-	Scorer
-	ScoreMatrix(rows, cols model.Dataset, workers int) ([][]float64, error)
+// MatrixOptions parameterizes ScoreMatrix. The zero value scores every
+// pair, applies no floor and runs on GOMAXPROCS workers.
+type MatrixOptions struct {
+	// Mask, when non-nil, restricts scoring to the pairs with Mask[i][j]
+	// true; masked-out pairs get −Inf (rank last, never link) and are never
+	// scored — with an STS scorer, trajectories in no admissible pair are
+	// not even prepared. Pre-filters such as the FTL feasibility check
+	// belong here: masking before scoring skips the expensive similarity
+	// entirely instead of discarding its result afterwards.
+	Mask [][]bool
+	// MinScore, when non-nil, is a score floor: pairs scoring below it get
+	// −Inf, exactly like masked-out pairs. Measure-backed scorers (STS)
+	// enforce it bound-first — each pair is checked against an admissible
+	// profile upper bound and refined with early exit only if the bound
+	// passes — so sub-threshold pairs are mostly rejected without full
+	// scoring, while every surviving entry is bit-identical to the
+	// unfloored matrix. Other scorers are scored in full and floored.
+	MinScore *float64
+	// Workers bounds scoring parallelism (0 selects GOMAXPROCS).
+	Workers int
 }
 
-// MaskedMatrixScorer is an optional extension for scorers that can skip
-// masked-out pairs cheaply — in particular by not preparing trajectories
-// that appear in no admissible pair at all.
-type MaskedMatrixScorer interface {
-	Scorer
-	ScoreMatrixMasked(rows, cols model.Dataset, mask [][]bool, workers int) ([][]float64, error)
-}
-
-// ContextMatrixScorer is the cancellable form of MatrixScorer +
-// MaskedMatrixScorer. STSScorer implements it by routing through the
-// engine; the context-taking entry points prefer it when available.
-type ContextMatrixScorer interface {
-	Scorer
-	ScoreMatrixContext(ctx context.Context, rows, cols model.Dataset, mask [][]bool, workers int) ([][]float64, error)
-}
-
-// ScoreMatrixMasked computes scores[i][j] = Score(rows[i], cols[j]) for
-// every pair with mask[i][j] true; masked-out pairs get −Inf (rank last,
-// never link). A nil mask scores everything, exactly like ScoreMatrix.
-// Pre-filters such as the FTL feasibility check belong here: masking
-// before scoring skips the expensive similarity entirely instead of
-// discarding its result afterwards.
-func ScoreMatrixMasked(rows, cols model.Dataset, s Scorer, mask [][]bool, workers int) ([][]float64, error) {
-	return ScoreMatrixMaskedContext(context.Background(), rows, cols, s, mask, workers)
-}
-
-// ScoreMatrixMaskedContext is ScoreMatrixMasked with cancellation: the
-// scoring fan-out runs on the engine executor and aborts promptly when ctx
-// is cancelled or its deadline passes.
-func ScoreMatrixMaskedContext(ctx context.Context, rows, cols model.Dataset, s Scorer, mask [][]bool, workers int) ([][]float64, error) {
-	if cs, ok := s.(ContextMatrixScorer); ok {
-		return cs.ScoreMatrixContext(ctx, rows, cols, mask, workers)
+// ScoreMatrix computes scores[i][j] = Score(rows[i], cols[j]) on the
+// engine's cancellable executor: it aborts promptly when ctx is cancelled
+// or its deadline passes. NaN scores become −Inf. Measure-backed scorers
+// prepare (and, when profiled or floored, profile) each distinct
+// trajectory once per call; see engine.ScoreMatrix.
+func ScoreMatrix(ctx context.Context, rows, cols model.Dataset, s Scorer, opts MatrixOptions) ([][]float64, error) {
+	minScore := math.Inf(-1)
+	if opts.MinScore != nil {
+		minScore = *opts.MinScore
 	}
-	if mask != nil {
-		if ms, ok := s.(MaskedMatrixScorer); ok {
-			m, err := ms.ScoreMatrixMasked(rows, cols, mask, workers)
-			return sanitizeMatrix(m), err
-		}
-	} else if ms, ok := s.(MatrixScorer); ok {
-		m, err := ms.ScoreMatrix(rows, cols, workers)
-		return sanitizeMatrix(m), err
-	}
-	return engine.ScoreMatrix(ctx, s, rows, cols, mask, workers)
+	return engine.ScoreMatrix(ctx, s, rows, cols, opts.Mask, minScore, opts.Workers)
 }
 
-// ScoreMatrixMin is ScoreMatrixMasked with a score floor: pairs scoring
-// below minScore get −Inf, exactly like masked-out pairs. Measure-backed
-// scorers (STS) enforce the floor bound-first — each pair is checked
-// against an admissible profile upper bound and refined with early exit
-// only if the bound passes — so sub-threshold pairs are mostly rejected
-// without full scoring, while every surviving entry is bit-identical to
-// the exhaustive matrix. A −Inf floor is plain ScoreMatrixMasked.
-func ScoreMatrixMin(rows, cols model.Dataset, s Scorer, mask [][]bool, minScore float64, workers int) ([][]float64, error) {
-	return ScoreMatrixMinContext(context.Background(), rows, cols, s, mask, minScore, workers)
+// Transient binds a Scorer to ScoreMatrix behind the ScoreBatchMin seam
+// that engine.Service exposes, so code written against a serving engine
+// (linking) also takes a plain scorer. Nothing is cached across calls.
+type Transient struct {
+	Scorer  Scorer
+	Workers int
 }
 
-// ScoreMatrixMinContext is ScoreMatrixMin with cancellation.
-func ScoreMatrixMinContext(ctx context.Context, rows, cols model.Dataset, s Scorer, mask [][]bool, minScore float64, workers int) ([][]float64, error) {
-	if _, ok := s.(engine.MeasureScorer); ok {
-		return engine.ScoreMatrixMin(ctx, s, rows, cols, mask, minScore, workers)
-	}
-	// Generic scorers keep their matrix extensions; the floor is applied
-	// after the fact (there is no bound to prune with).
-	m, err := ScoreMatrixMaskedContext(ctx, rows, cols, s, mask, workers)
-	if err != nil {
-		return nil, err
-	}
-	if !math.IsInf(minScore, -1) {
-		for _, row := range m {
-			for j, v := range row {
-				if v < minScore || math.IsNaN(v) {
-					row[j] = math.Inf(-1)
-				}
-			}
-		}
-	}
-	return m, nil
-}
-
-// ScoreMatrix computes scores[i][j] = Score(rows[i], cols[j]) for every
-// pair, in parallel across `workers` goroutines (0 selects GOMAXPROCS).
-// Scorers implementing a matrix extension are given the whole matrix at
-// once; everything else routes through the shared engine executor.
-func ScoreMatrix(rows, cols model.Dataset, s Scorer, workers int) ([][]float64, error) {
-	return ScoreMatrixContext(context.Background(), rows, cols, s, workers)
-}
-
-// ScoreMatrixContext is ScoreMatrix with cancellation.
-func ScoreMatrixContext(ctx context.Context, rows, cols model.Dataset, s Scorer, workers int) ([][]float64, error) {
-	return ScoreMatrixMaskedContext(ctx, rows, cols, s, nil, workers)
-}
-
-// sanitizeMatrix maps NaN entries to −Inf in place and returns m.
-func sanitizeMatrix(m [][]float64) [][]float64 {
-	for i := range m {
-		for j := range m[i] {
-			m[i][j] = sanitize(m[i][j])
-		}
-	}
-	return m
+// ScoreBatchMin scores rows × cols under mask with floor minScore (−Inf:
+// no floor) through ScoreMatrix.
+func (t Transient) ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error) {
+	return ScoreMatrix(ctx, rows, cols, t.Scorer, MatrixOptions{Mask: mask, MinScore: &minScore, Workers: t.Workers})
 }
 
 // parallelFor runs f(0..n-1) across workers goroutines (0 selects

@@ -6,7 +6,6 @@
 package eval
 
 import (
-	"context"
 	"math"
 
 	"github.com/stslib/sts/internal/core"
@@ -53,17 +52,18 @@ func FromDistance(name string, f func(a, b model.Trajectory) float64) Scorer {
 	}}
 }
 
-// STSScorer wraps a core.Measure, routing matrix scoring through the
-// engine so that per-trajectory preparation (personalized speed model,
-// observed-timestamp distributions) happens once per distinct trajectory
-// rather than once per pair. It implements MatrixScorer,
-// MaskedMatrixScorer, ContextMatrixScorer, engine.MeasureScorer, and
-// engine.ProfileScorer.
+// STSScorer wraps a core.Measure. It implements engine.MeasureScorer and
+// engine.ProfileScorer, which route matrix scoring (ScoreMatrix, engines)
+// through per-trajectory preparation — personalized speed model,
+// observed-timestamp distributions — done once per distinct trajectory
+// rather than once per pair.
 type STSScorer struct {
 	name    string
 	m       *core.Measure
 	profile *core.ProfileOptions
 }
+
+var _ engine.ProfileScorer = (*STSScorer)(nil)
 
 // NewSTSScorer names and wraps a measure; scoring is exact (Eq. 10).
 func NewSTSScorer(name string, m *core.Measure) *STSScorer {
@@ -115,26 +115,6 @@ func (s *STSScorer) Score(a, b model.Trajectory) (float64, error) {
 		return 0, err
 	}
 	return core.SimilarityProfiled(fa, fb)
-}
-
-// ScoreMatrixContext implements ContextMatrixScorer: a transient engine
-// prepares each distinct trajectory once and fans scoring out on the
-// shared cancellable executor.
-func (s *STSScorer) ScoreMatrixContext(ctx context.Context, rows, cols model.Dataset, mask [][]bool, workers int) ([][]float64, error) {
-	return engine.ScoreMatrix(ctx, s, rows, cols, mask, workers)
-}
-
-// ScoreMatrix implements MatrixScorer with per-trajectory preparation.
-func (s *STSScorer) ScoreMatrix(rows, cols model.Dataset, workers int) ([][]float64, error) {
-	return s.ScoreMatrixContext(context.Background(), rows, cols, nil, workers)
-}
-
-// ScoreMatrixMasked implements MaskedMatrixScorer: trajectories that
-// appear in no admissible pair are never prepared (preparation — speed
-// model estimation and observed-distribution construction — is the
-// dominant per-trajectory cost), and masked-out pairs are never scored.
-func (s *STSScorer) ScoreMatrixMasked(rows, cols model.Dataset, mask [][]bool, workers int) ([][]float64, error) {
-	return s.ScoreMatrixContext(context.Background(), rows, cols, mask, workers)
 }
 
 // sanitize maps NaN scores (which would poison rankings) to −Inf.

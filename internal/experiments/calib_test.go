@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/stslib/sts/internal/eval"
@@ -47,7 +48,7 @@ func TestCalibrateCATSFullRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eval.Matching(sc.D1, sc.D2, scorers[0], 0)
+	r, err := eval.Matching(context.Background(), sc.D1, sc.D2, scorers[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -37,11 +38,11 @@ func scoreBoth(t *testing.T, sc Scenario, opts core.Options) (fast, slow [][]flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err = eval.ScoreMatrix(sc.D1, sc.D2, eval.NewSTSScorer("fast", fastM), 1)
+	fast, err = eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, eval.NewSTSScorer("fast", fastM), eval.MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err = eval.ScoreMatrix(sc.D1, sc.D2, eval.NewSTSScorer("slow", slowM), 1)
+	slow, err = eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, eval.NewSTSScorer("slow", slowM), eval.MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

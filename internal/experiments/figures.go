@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -68,7 +69,7 @@ func (c Config) Scenario(name string) (Scenario, error) {
 func matchAll(d1, d2 model.Dataset, scorers []eval.Scorer, workers int) ([]eval.MatchResult, error) {
 	out := make([]eval.MatchResult, len(scorers))
 	for i, s := range scorers {
-		r, err := eval.Matching(d1, d2, s, workers)
+		r, err := eval.Matching(context.Background(), d1, d2, s, workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: matching with %s: %w", s.Name(), err)
 		}
@@ -311,7 +312,7 @@ func GridSweep(sc Scenario, cfg Config) (timing, precision, meanRank Table, err 
 		if err != nil {
 			return Table{}, Table{}, Table{}, err
 		}
-		r, err := eval.Matching(d1, d2, scorers[0], cfg.Workers)
+		r, err := eval.Matching(context.Background(), d1, d2, scorers[0], cfg.Workers)
 		if err != nil {
 			return Table{}, Table{}, Table{}, err
 		}

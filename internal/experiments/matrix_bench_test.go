@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/stslib/sts/internal/eval"
@@ -18,7 +19,7 @@ func BenchmarkMatrixScoringMallFine(b *testing.B) {
 	ms := scorers[0].(*eval.STSScorer)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ms.ScoreMatrix(sc.D1, sc.D2, 1); err != nil {
+		if _, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, ms, eval.MatrixOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -335,7 +335,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 			pairs := len(sc.D1) * len(sc.D2)
 			name := fmt.Sprintf("matrix_scoring/%s/grid=%g", sc.Name, gridSize)
 			if err := add(name, pairs, func() error {
-				_, err := ms.ScoreMatrix(sc.D1, sc.D2, workers)
+				_, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, ms, eval.MatrixOptions{Workers: workers})
 				return err
 			}); err != nil {
 				return err
@@ -343,7 +343,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 			if scale == 1 {
 				err := addScaled(name, pairs, func(nw int) (func() error, error) {
 					return func() error {
-						_, err := ms.ScoreMatrix(sc.D1, sc.D2, nw)
+						_, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, ms, eval.MatrixOptions{Workers: nw})
 						return err
 					}, nil
 				})
@@ -368,7 +368,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		pairs := len(sc.D1) * len(sc.D2)
 		name := fmt.Sprintf("profile_matrix/%s/grid=%g", sc.Name, sc.GridSize)
 		if err := add(name, pairs, func() error {
-			_, err := ps.ScoreMatrix(sc.D1, sc.D2, workers)
+			_, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, ps, eval.MatrixOptions{Workers: workers})
 			return err
 		}); err != nil {
 			return err
@@ -417,7 +417,7 @@ func RunPerf(cfg Config, opts PerfOptions, outPath string, w io.Writer) error {
 		lopts := linking.Options{MinScore: 1e-9, MaxSpeed: pooled.MaxSpeed(), Workers: workers}
 		pairs := len(sc.D1) * len(sc.D2)
 		if err := add("linking_greedy/taxi", pairs, func() error {
-			_, err := linking.GreedyLink(sc.D1, sc.D2, scorers[0], lopts)
+			_, err := linking.GreedyLink(context.Background(), eval.Transient{Scorer: scorers[0], Workers: workers}, sc.D1, sc.D2, lopts)
 			return err
 		}); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"github.com/stslib/sts/internal/core"
@@ -19,7 +20,7 @@ func BenchmarkProfileMatrixTaxi(b *testing.B) {
 	ps := eval.NewSTSScorerProfiled("STS-P", scorers[0].(*eval.STSScorer).Measure(), core.ProfileOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ps.ScoreMatrix(sc.D1, sc.D2, 1); err != nil {
+		if _, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, ps, eval.MatrixOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

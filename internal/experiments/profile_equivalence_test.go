@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,14 +23,14 @@ func profiledDeviations(t *testing.T, sc Scenario, widths []float64) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := eval.ScoreMatrix(sc.D1, sc.D2, eval.NewSTSScorer("exact", m), 1)
+	exact, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, eval.NewSTSScorer("exact", m), eval.MatrixOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	devs := make([]float64, len(widths))
 	for k, w := range widths {
 		scorer := eval.NewSTSScorerProfiled("profiled", m, core.ProfileOptions{BucketSeconds: w})
-		prof, err := eval.ScoreMatrix(sc.D1, sc.D2, scorer, 1)
+		prof, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, scorer, eval.MatrixOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +104,13 @@ func compactDeviation(t *testing.T, sc Scenario, widths []float64) float64 {
 	}
 	var worst float64
 	for _, w := range widths {
-		f64, err := eval.ScoreMatrix(sc.D1, sc.D2,
-			eval.NewSTSScorerProfiled("profiled", m, core.ProfileOptions{BucketSeconds: w}), 1)
+		f64, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2,
+			eval.NewSTSScorerProfiled("profiled", m, core.ProfileOptions{BucketSeconds: w}), eval.MatrixOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f32, err := eval.ScoreMatrix(sc.D1, sc.D2,
-			eval.NewSTSScorerProfiled("compact", m, core.ProfileOptions{BucketSeconds: w, Compact: true}), 1)
+		f32, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2,
+			eval.NewSTSScorerProfiled("compact", m, core.ProfileOptions{BucketSeconds: w, Compact: true}), eval.MatrixOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,7 +164,8 @@ func TestScoreBatchMinEquivalence(t *testing.T) {
 	}
 }
 
-// TestScoreMatrixMinEquivalence covers the one-shot eval entry point on
+// TestScoreMatrixMinEquivalence covers the one-shot eval entry point, with
+// a floor, on
 // both scorer kinds: measure-backed scorers run the filter-and-refine
 // path, generic scorers score exhaustively and floor afterwards — the
 // results must agree.
@@ -179,12 +180,12 @@ func TestScoreMatrixMinEquivalence(t *testing.T) {
 	generic := eval.FuncScorer{N: "STS-opaque", F: func(a, b model.Trajectory) (float64, error) {
 		return ms.Score(a, b)
 	}}
-	const floor = 0.02
-	pruned, err := eval.ScoreMatrixMin(sc.D1, sc.D2, ms, nil, floor, 2)
+	floor := 0.02
+	pruned, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, ms, eval.MatrixOptions{MinScore: &floor, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := eval.ScoreMatrixMin(sc.D1, sc.D2, generic, nil, floor, 2)
+	plain, err := eval.ScoreMatrix(context.Background(), sc.D1, sc.D2, generic, eval.MatrixOptions{MinScore: &floor, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestGreedyLinkMinEquivalence(t *testing.T) {
 		return ms.Score(a, b)
 	}}
 	for _, minScore := range []float64{1e-9, 0.05} {
-		want, err := linking.GreedyLink(sc.D1, sc.D2, generic, linking.Options{MinScore: minScore, Workers: 2})
+		want, err := linking.GreedyLink(context.Background(), eval.Transient{Scorer: generic, Workers: 2}, sc.D1, sc.D2, linking.Options{MinScore: minScore, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := linking.GreedyLink(sc.D1, sc.D2, ms, linking.Options{MinScore: minScore, Workers: 2})
+		got, err := linking.GreedyLink(context.Background(), eval.Transient{Scorer: ms, Workers: 2}, sc.D1, sc.D2, linking.Options{MinScore: minScore, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -293,7 +294,7 @@ func (ix *Index) TopKContext(ctx context.Context, query model.Trajectory, scorer
 	for i, ti := range cand {
 		sub[i] = ix.ds[ti]
 	}
-	scores, err := engine.ScoreMatrix(ctx, scorer, model.Dataset{query}, sub, nil, workers)
+	scores, err := engine.ScoreMatrix(ctx, scorer, model.Dataset{query}, sub, nil, math.Inf(-1), workers)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,8 @@ package linking
 
 import (
 	"context"
-	"fmt"
 	"math"
 
-	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -16,41 +14,27 @@ import (
 // can lock a trajectory to its locally best partner and force a chain of
 // bad links downstream; the optimal assignment cannot.
 //
-// Pairs rejected by the threshold or the feasibility pre-filter are given
-// −∞ utility and are dropped from the result if chosen anyway (which only
-// happens when a row has no feasible partner at all).
-func OptimalLink(d1, d2 model.Dataset, scorer eval.Scorer, opts Options) ([]Link, error) {
-	return OptimalLinkContext(context.Background(), d1, d2, scorer, opts)
-}
-
-// OptimalLinkContext is OptimalLink with cancellation: scoring runs on the
-// engine executor and aborts promptly when ctx is cancelled. (The O(n·m²)
-// assignment itself is not interruptible; it is cheap next to scoring.)
-func OptimalLinkContext(ctx context.Context, d1, d2 model.Dataset, scorer eval.Scorer, opts Options) ([]Link, error) {
-	if len(d1) == 0 || len(d2) == 0 {
-		return nil, ErrEmptyInput
-	}
-	minGap := opts.MinGap
-	if opts.MaxSpeed > 0 && minGap <= 0 {
-		minGap = 1
-	}
-	scores, err := eval.ScoreMatrixContext(ctx, d1, d2, scorer, opts.Workers)
+// Scoring is GreedyLink's: the FTL feasibility pre-filter masks pairs
+// before they are scored, on the engine executor, and cancelling ctx
+// aborts it promptly (the O(n·m²) assignment itself is not interruptible;
+// it is cheap next to scoring). Pairs rejected by the threshold or the
+// pre-filter are given −∞ utility and are dropped from the result if
+// chosen anyway (which only happens when a row has no feasible partner at
+// all).
+func OptimalLink(ctx context.Context, b Batcher, d1, d2 model.Dataset, opts Options) ([]Link, error) {
+	scores, _, err := scoreFeasible(ctx, b, d1, d2, opts)
 	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
+		return nil, err
 	}
-	// Build the utility matrix with vetoes applied.
+	// Build the utility matrix with vetoes applied; masked-out pairs
+	// scored −Inf.
 	const veto = math.MaxFloat64 / 4
 	n, m := len(d1), len(d2)
 	util := make([][]float64, n)
 	for i := range util {
 		util[i] = make([]float64, m)
 		for j := range util[i] {
-			s := scores[i][j]
-			ok := s >= opts.MinScore && !math.IsInf(s, -1)
-			if ok && opts.MaxSpeed > 0 {
-				ok = Feasible(d1[i], d2[j], opts.MaxSpeed, minGap)
-			}
-			if ok {
+			if s := scores[i][j]; s >= opts.MinScore && !math.IsInf(s, -1) {
 				util[i][j] = s
 			} else {
 				util[i][j] = -veto
@@ -66,9 +50,9 @@ func OptimalLinkContext(ctx context.Context, d1, d2 model.Dataset, scorer eval.S
 		links = append(links, Link{I: i, J: j, Score: scores[i][j]})
 	}
 	// Sort by descending score for parity with GreedyLink's contract.
-	for a := 1; a < len(links); a++ {
-		for b := a; b > 0 && links[b].Score > links[b-1].Score; b-- {
-			links[b], links[b-1] = links[b-1], links[b]
+	for x := 1; x < len(links); x++ {
+		for y := x; y > 0 && links[y].Score > links[y-1].Score; y-- {
+			links[y], links[y-1] = links[y-1], links[y]
 		}
 	}
 	return links, nil

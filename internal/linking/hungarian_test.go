@@ -1,10 +1,14 @@
 package linking
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sort"
+	"sync/atomic"
 	"testing"
 
+	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/geo"
 	"github.com/stslib/sts/internal/model"
@@ -161,11 +165,11 @@ func TestOptimalLinkBeatsGreedyOnTrap(t *testing.T) {
 		}
 	}}
 	opts := Options{MinScore: math.Inf(-1), Workers: 1}
-	greedy, err := GreedyLink(d1, d2, scorer, opts)
+	gl, err := greedy(d1, d2, scorer, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimal, err := OptimalLink(d1, d2, scorer, opts)
+	ol, err := optimal(d1, d2, scorer, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +179,138 @@ func TestOptimalLinkBeatsGreedyOnTrap(t *testing.T) {
 		}
 		return s
 	}
-	if sum(optimal) <= sum(greedy) {
-		t.Errorf("optimal total %v not above greedy total %v", sum(optimal), sum(greedy))
+	if sum(ol) <= sum(gl) {
+		t.Errorf("optimal total %v not above greedy total %v", sum(ol), sum(gl))
 	}
-	if sum(optimal) != 16 {
-		t.Errorf("optimal total %v want 16", sum(optimal))
+	if sum(ol) != 16 {
+		t.Errorf("optimal total %v want 16", sum(ol))
+	}
+}
+
+func TestOptimalLinkDoesNotScoreInfeasiblePairs(t *testing.T) {
+	// GreedyLink's fixture: the far pairs fail the 10 m/s feasibility check
+	// and must never reach the scorer.
+	d1 := model.Dataset{walkAt("a", geo.Point{Y: 0}, 0, 0, 10)}
+	far := model.Trajectory{ID: "far", Samples: []model.Sample{
+		{Loc: geo.Point{X: 1000}, T: 1},
+		{Loc: geo.Point{X: 1000}, T: 11},
+	}}
+	near := walkAt("near", geo.Point{Y: 1}, 0, 5, 15)
+	d2 := model.Dataset{far, near}
+	var scored atomic.Int64
+	counter := eval.FuncScorer{N: "count", F: func(a, b model.Trajectory) (float64, error) {
+		scored.Add(1)
+		if !Feasible(a, b, 10, 1) {
+			t.Errorf("scored infeasible pair %s/%s", a.ID, b.ID)
+		}
+		return 1, nil
+	}}
+	links, err := optimal(d1, d2, counter, Options{MaxSpeed: 10, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scored.Load(); got != 1 {
+		t.Errorf("scored %d pairs, want 1 (the feasible one)", got)
+	}
+	if len(links) != 1 || links[0].J != 1 {
+		t.Errorf("links=%v want the near pair", links)
+	}
+}
+
+// vetoAfterScoring is OptimalLink as it was before the feasibility mask
+// moved ahead of scoring: every pair scored, infeasible ones vetoed
+// afterwards. Links must not change.
+func vetoAfterScoring(t *testing.T, d1, d2 model.Dataset, s eval.Scorer, opts Options) []Link {
+	t.Helper()
+	scores, err := eval.ScoreMatrix(context.Background(), d1, d2, s, eval.MatrixOptions{Workers: opts.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minGap := opts.MinGap
+	if minGap <= 0 {
+		minGap = 1
+	}
+	const veto = math.MaxFloat64 / 4
+	util := make([][]float64, len(d1))
+	for i := range util {
+		util[i] = make([]float64, len(d2))
+		for j := range util[i] {
+			v := scores[i][j]
+			ok := v >= opts.MinScore && !math.IsInf(v, -1)
+			if ok && opts.MaxSpeed > 0 {
+				ok = Feasible(d1[i], d2[j], opts.MaxSpeed, minGap)
+			}
+			util[i][j] = -veto
+			if ok {
+				util[i][j] = v
+			}
+		}
+	}
+	var links []Link
+	for i, j := range hungarianMax(util) {
+		if j >= 0 && util[i][j] > -veto/2 {
+			links = append(links, Link{I: i, J: j, Score: scores[i][j]})
+		}
+	}
+	sort.SliceStable(links, func(a, b int) bool { return links[a].Score > links[b].Score })
+	return links
+}
+
+func TestOptimalLinkMaskMatchesVetoAfterScoring(t *testing.T) {
+	grid, err := geo.NewGrid(geo.NewRect(geo.Point{X: -100, Y: -100}, geo.Point{X: 400, Y: 100}), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewSTS(grid, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sts := eval.NewSTSScorer("STS", m)
+	ds1 := model.Dataset{
+		walkAt("a", geo.Point{}, 1, 0, 10, 20, 30, 40),
+		walkAt("b", geo.Point{Y: 50}, 1.5, 0, 10, 20, 30, 40),
+		walkAt("c", geo.Point{Y: -50}, 0.5, 0, 10, 20, 30, 40),
+	}
+	ds2 := model.Dataset{
+		walkAt("c2", geo.Point{Y: -50}, 0.5, 5, 15, 25, 35),
+		walkAt("a2", geo.Point{}, 1, 5, 15, 25, 35),
+		walkAt("b2", geo.Point{Y: 50}, 1.5, 5, 15, 25, 35),
+	}
+	var tags1, tags2 model.Dataset
+	for i := 0; i < 5; i++ {
+		tags1 = append(tags1, walkAt("a", geo.Point{Y: float64(i * 10)}, 1, 0, 10, 20))
+		tags2 = append(tags2, walkAt("b", geo.Point{Y: float64(i*10) + 1}, 1, 5, 15))
+	}
+	for _, tc := range []struct {
+		name   string
+		d1, d2 model.Dataset
+		s      eval.Scorer
+		opts   Options
+	}{
+		{"sts/ftl", ds1, ds2, sts, Options{MaxSpeed: 3, MinGap: 1, Workers: 2}},
+		{"sts/ftl+floor", ds1, ds2, sts, Options{MinScore: 1e-6, MaxSpeed: 3, Workers: 2}},
+		{"sts/tight-ftl", ds1, ds2, sts, Options{MaxSpeed: 1.2, Workers: 1}},
+		{"tag/ftl", tags1, tags2, tagScorer, Options{MinScore: math.Inf(-1), MaxSpeed: 1.2, Workers: 1}},
+		{"tag/none", tags1, tags2, tagScorer, Options{MinScore: -5, Workers: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := vetoAfterScoring(t, tc.d1, tc.d2, tc.s, tc.opts)
+			if len(want) == 0 {
+				t.Fatal("no links on this fixture; the case is vacuous")
+			}
+			got, err := optimal(tc.d1, tc.d2, tc.s, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d links, want %d: %v vs %v", len(got), len(want), got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("link %d: %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -189,14 +320,14 @@ func TestOptimalLinkRespectsVetoes(t *testing.T) {
 	}
 	d1 := model.Dataset{mk("a", 0)}
 	d2 := model.Dataset{mk("b", 100)}
-	links, err := OptimalLink(d1, d2, tagScorer, Options{MinScore: -1, Workers: 1})
+	links, err := optimal(d1, d2, tagScorer, Options{MinScore: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(links) != 0 {
 		t.Errorf("vetoed pair linked: %v", links)
 	}
-	if _, err := OptimalLink(nil, d2, tagScorer, Options{}); err == nil {
+	if _, err := optimal(nil, d2, tagScorer, Options{}); err == nil {
 		t.Error("empty input accepted")
 	}
 }

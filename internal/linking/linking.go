@@ -21,10 +21,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/stslib/sts/internal/engine"
-	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/model"
 )
 
@@ -116,6 +116,15 @@ type Options struct {
 // ErrEmptyInput is returned when either trajectory set is empty.
 var ErrEmptyInput = errors.New("linking: empty trajectory set")
 
+// Batcher scores rows × cols under a mask and a score floor (−Inf: none);
+// masked-out and sub-floor pairs get −Inf. It is the one scoring seam of
+// both linkers: engine.Service satisfies it directly, so a long-lived
+// server links through the engine's prepared/profile LRU caches, and
+// eval.Transient adapts a plain scorer to it.
+type Batcher interface {
+	ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error)
+}
+
 // GreedyLink links two trajectory sets one-to-one: the optional FTL
 // feasibility pre-filter first masks out incompatible pairs, the
 // similarity of the surviving pairs is computed (masked pairs are never
@@ -124,78 +133,38 @@ var ErrEmptyInput = errors.New("linking: empty trajectory set")
 // already linked — the standard greedy assignment used by linkage systems
 // when a full optimal assignment is unnecessary. Returned links are sorted
 // by descending score; equal scores break ties by (I, J), so the linking
-// is deterministic.
-func GreedyLink(d1, d2 model.Dataset, scorer eval.Scorer, opts Options) ([]Link, error) {
-	return GreedyLinkContext(context.Background(), d1, d2, scorer, opts)
+// is deterministic. Both stages run on the engine executor, so cancelling
+// ctx aborts the linking promptly at either.
+func GreedyLink(ctx context.Context, b Batcher, d1, d2 model.Dataset, opts Options) ([]Link, error) {
+	scores, mask, err := scoreFeasible(ctx, b, d1, d2, opts)
+	if err != nil {
+		return nil, err
+	}
+	return greedySelect(scores, mask, opts.MinScore), nil
 }
 
-// GreedyLinkContext is GreedyLink with cancellation: the feasibility
-// pre-filter and the scoring matrix both run on the engine executor, so
-// cancelling ctx aborts the linking promptly at either stage.
-func GreedyLinkContext(ctx context.Context, d1, d2 model.Dataset, scorer eval.Scorer, opts Options) ([]Link, error) {
+// scoreFeasible is the scoring step both linkers share: the FTL mask, then
+// one masked matrix through b. A positive MinScore doubles as a pruning
+// floor: pairs provably below it collapse to −Inf without full scoring,
+// and both linkers drop them exactly as they would drop their
+// sub-threshold scores.
+func scoreFeasible(ctx context.Context, b Batcher, d1, d2 model.Dataset, opts Options) ([][]float64, [][]bool, error) {
 	if len(d1) == 0 || len(d2) == 0 {
-		return nil, ErrEmptyInput
+		return nil, nil, ErrEmptyInput
 	}
 	mask, err := feasibilityMask(ctx, d1, d2, opts)
 	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
+		return nil, nil, fmt.Errorf("linking: %w", err)
 	}
-	var scores [][]float64
+	floor := math.Inf(-1)
 	if opts.MinScore > 0 {
-		// The rejection threshold doubles as a pruning floor: pairs provably
-		// below it collapse to −Inf without full scoring, and greedySelect
-		// drops them exactly as it would drop their sub-threshold scores.
-		scores, err = eval.ScoreMatrixMinContext(ctx, d1, d2, scorer, mask, opts.MinScore, opts.Workers)
-	} else {
-		scores, err = eval.ScoreMatrixMaskedContext(ctx, d1, d2, scorer, mask, opts.Workers)
+		floor = opts.MinScore
 	}
+	scores, err := b.ScoreBatchMin(ctx, d1, d2, mask, floor)
 	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
+		return nil, nil, fmt.Errorf("linking: %w", err)
 	}
-	return greedySelect(scores, mask, opts.MinScore), nil
-}
-
-// Batcher scores rows × cols under a mask on some execution substrate.
-// *engine.Engine implements it; GreedyLinkBatch uses it so a long-lived
-// server links through the engine's prepared/profile LRU caches instead of
-// re-preparing every trajectory per request.
-type Batcher interface {
-	ScoreBatch(ctx context.Context, rows, cols model.Dataset, mask [][]bool) ([][]float64, error)
-}
-
-// MinBatcher is an optional Batcher extension for substrates that can
-// enforce a score floor while scoring — *engine.Engine implements it with
-// the filter-and-refine matrix. GreedyLinkBatch routes a positive MinScore
-// through it so sub-threshold pairs are pruned instead of fully scored;
-// the links produced are identical either way.
-type MinBatcher interface {
-	Batcher
-	ScoreBatchMin(ctx context.Context, rows, cols model.Dataset, mask [][]bool, minScore float64) ([][]float64, error)
-}
-
-// GreedyLinkBatch is GreedyLinkContext with the scoring delegated to a
-// Batcher: same FTL feasibility pre-filter, same masked scoring semantics,
-// same deterministic greedy selection — but per-trajectory preparation is
-// cached across calls when the Batcher is an engine. The serving layer's
-// /v1/link endpoint runs through this entry point.
-func GreedyLinkBatch(ctx context.Context, b Batcher, d1, d2 model.Dataset, opts Options) ([]Link, error) {
-	if len(d1) == 0 || len(d2) == 0 {
-		return nil, ErrEmptyInput
-	}
-	mask, err := feasibilityMask(ctx, d1, d2, opts)
-	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
-	}
-	var scores [][]float64
-	if mb, ok := b.(MinBatcher); ok && opts.MinScore > 0 {
-		scores, err = mb.ScoreBatchMin(ctx, d1, d2, mask, opts.MinScore)
-	} else {
-		scores, err = b.ScoreBatch(ctx, d1, d2, mask)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("linking: %w", err)
-	}
-	return greedySelect(scores, mask, opts.MinScore), nil
+	return scores, mask, nil
 }
 
 // greedySelect turns a scored (and optionally masked) matrix into a

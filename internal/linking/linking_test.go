@@ -1,6 +1,7 @@
 package linking
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -64,6 +65,16 @@ func TestFeasible(t *testing.T) {
 	}
 }
 
+// greedy and optimal link with a plain scorer through the transient
+// matrix, scored on opts.Workers.
+func greedy(d1, d2 model.Dataset, s eval.Scorer, opts Options) ([]Link, error) {
+	return GreedyLink(context.Background(), eval.Transient{Scorer: s, Workers: opts.Workers}, d1, d2, opts)
+}
+
+func optimal(d1, d2 model.Dataset, s eval.Scorer, opts Options) ([]Link, error) {
+	return OptimalLink(context.Background(), eval.Transient{Scorer: s, Workers: opts.Workers}, d1, d2, opts)
+}
+
 // tagScorer links by closeness of the trajectories' origins.
 var tagScorer = eval.FuncScorer{N: "tag", F: func(a, b model.Trajectory) (float64, error) {
 	return -math.Abs(a.Samples[0].Loc.Y - b.Samples[0].Loc.Y), nil
@@ -75,7 +86,7 @@ func TestGreedyLinkRecoversIdentity(t *testing.T) {
 		d1 = append(d1, walkAt("a", geo.Point{Y: float64(i * 10)}, 1, 0, 10, 20))
 		d2 = append(d2, walkAt("b", geo.Point{Y: float64(i*10) + 1}, 1, 5, 15))
 	}
-	links, err := GreedyLink(d1, d2, tagScorer, Options{MinScore: math.Inf(-1), Workers: 1})
+	links, err := greedy(d1, d2, tagScorer, Options{MinScore: math.Inf(-1), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +115,7 @@ func TestGreedyLinkOneToOne(t *testing.T) {
 		walkAt("b0", geo.Point{Y: 0}, 1, 5, 15),
 		walkAt("b1", geo.Point{Y: 50}, 1, 5, 15),
 	}
-	links, err := GreedyLink(d1, d2, tagScorer, Options{MinScore: math.Inf(-1), Workers: 1})
+	links, err := greedy(d1, d2, tagScorer, Options{MinScore: math.Inf(-1), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestGreedyLinkOneToOne(t *testing.T) {
 func TestGreedyLinkMinScore(t *testing.T) {
 	d1 := model.Dataset{walkAt("a", geo.Point{Y: 0}, 1, 0, 10)}
 	d2 := model.Dataset{walkAt("b", geo.Point{Y: 100}, 1, 5, 15)}
-	links, err := GreedyLink(d1, d2, tagScorer, Options{MinScore: -1, Workers: 1})
+	links, err := greedy(d1, d2, tagScorer, Options{MinScore: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +149,7 @@ func TestGreedyLinkFeasibilityFilter(t *testing.T) {
 		{Loc: geo.Point{X: 1000, Y: 0}, T: 11},
 	}}
 	d2 := model.Dataset{far}
-	links, err := GreedyLink(d1, d2, tagScorer, Options{MinScore: math.Inf(-1), MaxSpeed: 10, Workers: 1})
+	links, err := greedy(d1, d2, tagScorer, Options{MinScore: math.Inf(-1), MaxSpeed: 10, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestGreedyLinkDoesNotScoreInfeasiblePairs(t *testing.T) {
 		scored++
 		return 1, nil
 	}}
-	links, err := GreedyLink(d1, d2, counter, Options{MaxSpeed: 10, Workers: 1})
+	links, err := greedy(d1, d2, counter, Options{MaxSpeed: 10, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +198,7 @@ func TestGreedyLinkDeterministicTies(t *testing.T) {
 		d2 = append(d2, walkAt("b", geo.Point{Y: float64(i)}, 1, 5, 15))
 	}
 	for trial := 0; trial < 5; trial++ {
-		links, err := GreedyLink(d1, d2, constScorer, Options{Workers: 1})
+		links, err := greedy(d1, d2, constScorer, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +226,10 @@ func TestFeasibleDoesNotAllocate(t *testing.T) {
 
 func TestGreedyLinkErrors(t *testing.T) {
 	d := model.Dataset{walkAt("a", geo.Point{}, 1, 0, 10)}
-	if _, err := GreedyLink(nil, d, tagScorer, Options{}); !errors.Is(err, ErrEmptyInput) {
+	if _, err := greedy(nil, d, tagScorer, Options{}); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("empty d1: %v", err)
 	}
-	if _, err := GreedyLink(d, nil, tagScorer, Options{}); !errors.Is(err, ErrEmptyInput) {
+	if _, err := greedy(d, nil, tagScorer, Options{}); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("empty d2: %v", err)
 	}
 }

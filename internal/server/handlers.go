@@ -226,14 +226,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) error {
 		return httpErrorf(http.StatusNotFound, "trajectory %q not in corpus", id)
 	}
 	want := k
-	if !includeSelf {
+	if !includeSelf && k < math.MaxInt {
 		want = k + 1 // room to drop the query's own entry
 	}
 	matches, err := s.eng.TopKOpts(r.Context(), query, engine.TopKOptions{K: want, MinScore: minScore})
 	if err != nil {
 		return mapEngineErr(err)
 	}
-	resp := api.TopKResponse{Query: id, K: k, Matches: make([]api.Match, 0, k)}
+	resp := api.TopKResponse{Query: id, K: k, Matches: make([]api.Match, 0, min(k, len(matches)))}
 	for _, m := range matches {
 		if len(resp.Matches) == k {
 			break
@@ -265,7 +265,7 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return mapEngineErr(err)
 	}
-	links, err := linking.GreedyLinkBatch(r.Context(), s.eng, d1, d2, linking.Options{
+	links, err := linking.GreedyLink(r.Context(), s.eng, d1, d2, linking.Options{
 		MinScore: req.MinScore,
 		MaxSpeed: req.MaxSpeed,
 		MinGap:   req.MinGap,

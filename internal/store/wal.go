@@ -144,6 +144,11 @@ type persistence struct {
 	closed   bool
 	payload  []byte
 	frame    []byte
+	// syncErr is the first failed fsync, sticky: after it the kernel may
+	// have dropped the dirty pages, so a retried fsync could report
+	// success for data that never reached disk. Every later append, rotate
+	// and close returns it — the WAL fails closed.
+	syncErr error
 
 	snapshots     atomic.Uint64
 	snapErrs      atomic.Uint64
@@ -162,6 +167,9 @@ func (p *persistence) append(op byte, id string, blob []byte) (trigger bool, err
 	if p.closed {
 		return false, ErrClosed
 	}
+	if p.syncErr != nil {
+		return false, p.syncErr
+	}
 	p.payload = p.payload[:0]
 	p.payload = append(p.payload, op)
 	p.payload = binary.AppendUvarint(p.payload, uint64(len(id)))
@@ -174,8 +182,8 @@ func (p *persistence) append(op byte, id string, blob []byte) (trigger bool, err
 	p.walBytes += int64(len(p.frame))
 	switch {
 	case p.fsyncInterval == ExactFsync:
-		if err := p.f.Sync(); err != nil {
-			return false, fmt.Errorf("store: wal fsync: %w", err)
+		if err := p.sync(p.f); err != nil {
+			return false, err
 		}
 	case p.fsyncInterval > 0:
 		p.needSync = true
@@ -183,13 +191,27 @@ func (p *persistence) append(op byte, id string, blob []byte) (trigger bool, err
 	return p.snapEvery > 0 && p.walBytes >= p.snapEvery, nil
 }
 
-// rotate opens the next WAL segment and returns the superseded file (synced
-// and closed best-effort by the caller) with the new sequence number.
+// sync fsyncs f, recording the first failure as the sticky syncErr.
+// Callers hold p.mu.
+func (p *persistence) sync(f *os.File) error {
+	if err := f.Sync(); err != nil && p.syncErr == nil {
+		p.syncErr = fmt.Errorf("store: wal fsync: %w", err)
+	}
+	return p.syncErr
+}
+
+// rotate syncs and closes the current WAL segment and opens the next one,
+// returning its sequence number.
 func (p *persistence) rotate() (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return 0, ErrClosed
+	}
+	// Sync the superseded segment so everything the snapshot supersedes is
+	// also independently durable until the manifest flips.
+	if err := p.sync(p.f); err != nil {
+		return 0, err
 	}
 	newSeq := p.seq + 1
 	nf, err := createDurable(walPath(p.dir, newSeq))
@@ -198,9 +220,6 @@ func (p *persistence) rotate() (uint64, error) {
 	}
 	old := p.f
 	p.f, p.seq, p.walBytes, p.needSync = nf, newSeq, 0, false
-	// Sync the superseded segment so everything the snapshot supersedes is
-	// also independently durable until the manifest flips.
-	old.Sync()
 	old.Close()
 	return newSeq, nil
 }
@@ -223,7 +242,7 @@ func (p *persistence) syncLoop() {
 		case <-t.C:
 			p.mu.Lock()
 			if p.needSync && !p.closed {
-				p.f.Sync()
+				p.sync(p.f)
 				p.needSync = false
 			}
 			p.mu.Unlock()
@@ -244,7 +263,7 @@ func (p *persistence) close() error {
 		return nil
 	}
 	p.closed = true
-	err := p.f.Sync()
+	err := p.sync(p.f)
 	if cerr := p.f.Close(); err == nil {
 		err = cerr
 	}

@@ -1,6 +1,8 @@
 package sts
 
 import (
+	"context"
+
 	"github.com/stslib/sts/internal/core"
 	"github.com/stslib/sts/internal/eval"
 	"github.com/stslib/sts/internal/index"
@@ -23,14 +25,14 @@ type LinkOptions = linking.Options
 // LinkDatasets links two trajectory sets one-to-one, best-similarity
 // first. See the linking package for the algorithm.
 func LinkDatasets(d1, d2 Dataset, scorer Scorer, opts LinkOptions) ([]Link, error) {
-	return linking.GreedyLink(d1, d2, scorer, opts)
+	return linking.GreedyLink(context.Background(), eval.Transient{Scorer: scorer, Workers: opts.Workers}, d1, d2, opts)
 }
 
 // LinkDatasetsOptimal links two trajectory sets one-to-one maximizing
 // the total similarity of the assignment (Hungarian algorithm). Slower
 // than LinkDatasets but immune to greedy lock-in.
 func LinkDatasetsOptimal(d1, d2 Dataset, scorer Scorer, opts LinkOptions) ([]Link, error) {
-	return linking.OptimalLink(d1, d2, scorer, opts)
+	return linking.OptimalLink(context.Background(), eval.Transient{Scorer: scorer, Workers: opts.Workers}, d1, d2, opts)
 }
 
 // Feasible reports whether two trajectories could belong to one object

@@ -1,6 +1,7 @@
 package sts
 
 import (
+	"context"
 	"math/rand"
 
 	"github.com/stslib/sts/internal/baseline"
@@ -195,7 +196,7 @@ func NewProfiledScorer(name string, m *Measure, opts ProfileOptions) Scorer {
 // and d2[i] must observe the same object; precision and mean rank of the
 // true twin are reported.
 func Match(d1, d2 Dataset, s Scorer, workers int) (MatchResult, error) {
-	return eval.Matching(d1, d2, s, workers)
+	return eval.Matching(context.Background(), d1, d2, s, workers)
 }
 
 // Synthetic workloads.
